@@ -29,8 +29,9 @@ go test -race -run 'Churn|Crash|Handoff|Roll|Fault' -short -count=1 ./distrib/
 # protocol and the ring freeze/thaw/fence dance are where the server's
 # locking is subtle. Quarantine/Admission/Fenced cover the catalog-resilience
 # suite: poison-query fencing, dormant rebuild across crashes, admission
-# rejections, and the fence-at-pump invariant.
-go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced' -count=1 ./server/
+# rejections, and the fence-at-pump invariant. Checkpoint/StateV2 cover the
+# results file: a failure at each checkpoint step, and v2 state migration.
+go test -race -run 'Kill|Slow|Breaker|Wedge|Shutdown|Disconnect|Quarantine|Admission|Fenced|Checkpoint|StateV2' -count=1 ./server/
 
 # Shared multi-query runtime: the differential suite (MultiRun vs N
 # standalone runs, bit-for-bit, through checkpoints, epoch rolls, solo
@@ -54,6 +55,8 @@ go test -run='^$' -fuzz='^FuzzSliceDecode$' -fuzztime=10s -fuzzminimizetime=10x 
 go test -run='^$' -fuzz='^FuzzControlFrameDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 go test -run='^$' -fuzz='^FuzzWALRecordDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 go test -run='^$' -fuzz='^FuzzJournalEntryDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
+go test -run='^$' -fuzz='^FuzzStateDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
+go test -run='^$' -fuzz='^FuzzResultsRecordDecode$' -fuzztime=10s -fuzzminimizetime=10x ./server/
 
 # Perf gate: re-measure the hot-path micro-benchmarks and fail if any shared
 # benchmark runs >25% slower (ns/op) than the committed baseline. 300ms per

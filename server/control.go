@@ -14,6 +14,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -271,7 +273,7 @@ func (cc *ctlConn) handleSubscribe(m *Msg) {
 	// Blocking policies promise a gapless stream; a start cursor already
 	// evicted from the ring makes that promise unkeepable.
 	if m.Policy != PolicyDropOldest && m.Cursor != 0 {
-		if base, _ := q.log.snapshot(); m.Cursor < base {
+		if base, _ := q.log.window(); m.Cursor < base {
 			cc.smu.Unlock()
 			cc.writeErr(m.Req, CodeCursorGap, "cursor predates the retained result log")
 			return
@@ -310,8 +312,12 @@ func (cc *ctlConn) handleUnsubscribe(m *Msg) {
 }
 
 func (cc *ctlConn) handleStats(m *Msg) {
-	cc.write(&Msg{Type: StStats, Req: m.Req, Text: cc.s.statsJSON()})
+	cc.write(&Msg{Type: StStats, Req: m.Req, Text: cc.s.statsJSON(maxStatsText)})
 }
+
+// maxStatsText bounds the stats JSON carried in one StStats frame, leaving
+// room in MaxControlFrame for the message header.
+const maxStatsText = MaxControlFrame - 64
 
 // dropAllSubs releases every subscription when the connection dies.
 func (cc *ctlConn) dropAllSubs() {
@@ -447,10 +453,13 @@ func (s *Service) TopExpensive(n int) []QueryCost {
 }
 
 // statsJSON renders the service snapshot served by CtStats and /metrics.
-func (s *Service) statsJSON() string {
+// Queries are listed in id order without their texts; per-query gauges are
+// left out because each query's entry carries the same numbers. maxBytes > 0
+// caps the rendered size by listing only the lowest-id queries that fit,
+// with queries_total and truncated telling the reader so.
+func (s *Service) statsJSON(maxBytes int) string {
 	type queryStat struct {
 		ID          uint32  `json:"id"`
-		Text        string  `json:"text"`
 		Base        uint64  `json:"base"`
 		End         uint64  `json:"end"`
 		Tuples      uint64  `json:"tuples,omitempty"`
@@ -480,13 +489,15 @@ func (s *Service) statsJSON() string {
 		rt.mu.Unlock()
 	}
 	out := struct {
-		Mode     string             `json:"mode"`
-		Gen      uint64             `json:"gen"`
-		Fails    int32              `json:"consecutive_failures"`
-		Counters map[string]uint64  `json:"counters"`
-		Gauges   map[string]float64 `json:"gauges"`
-		Queries  []queryStat        `json:"queries"`
-		Top      []topStat          `json:"most_expensive,omitempty"`
+		Mode      string             `json:"mode"`
+		Gen       uint64             `json:"gen"`
+		Fails     int32              `json:"consecutive_failures"`
+		Counters  map[string]uint64  `json:"counters"`
+		Gauges    map[string]float64 `json:"gauges"`
+		Total     int                `json:"queries_total"`
+		Truncated bool               `json:"truncated,omitempty"`
+		Queries   []queryStat        `json:"queries"`
+		Top       []topStat          `json:"most_expensive,omitempty"`
 	}{
 		Mode:     s.Mode().String(),
 		Gen:      s.gen.Load(),
@@ -494,12 +505,15 @@ func (s *Service) statsJSON() string {
 		Counters: s.counters.Snapshot(),
 		Gauges:   s.gauges.Snapshot(),
 	}
+	for name := range out.Gauges {
+		if strings.HasPrefix(name, "server_query_") {
+			delete(out.Gauges, name)
+		}
+	}
 	s.mu.Lock()
 	for _, q := range s.queries {
-		base, rows := q.log.snapshot()
-		st := queryStat{
-			ID: q.ID, Text: q.Text, Base: base, End: base + uint64(len(rows)) - 1,
-		}
+		base, end := q.log.window()
+		st := queryStat{ID: q.ID, Base: base, End: end}
 		if qs, ok := perRun[q.ID]; ok {
 			st.Tuples, st.Errors, st.NsPerTuple = qs.Tuples, qs.Errors, qs.NsPerTuple
 		}
@@ -509,6 +523,8 @@ func (s *Service) statsJSON() string {
 		out.Queries = append(out.Queries, st)
 	}
 	s.mu.Unlock()
+	out.Total = len(out.Queries)
+	sort.Slice(out.Queries, func(i, j int) bool { return out.Queries[i].ID < out.Queries[j].ID })
 	all := make([]gsql.QueryStats, 0, len(perRun))
 	for _, qs := range perRun {
 		all = append(all, qs)
@@ -517,6 +533,13 @@ func (s *Service) statsJSON() string {
 		out.Top = append(out.Top, topStat{ID: byMember[qs.ID], NsPerTuple: qs.NsPerTuple, Tuples: qs.Tuples})
 	}
 	b, err := json.Marshal(out)
+	for err == nil && maxBytes > 0 && len(b) > maxBytes && len(out.Queries) > 0 {
+		// Shrink the list in proportion to the overshoot; every pass drops
+		// at least one entry.
+		keep := min(len(out.Queries)*maxBytes/len(b), len(out.Queries)-1)
+		out.Queries, out.Truncated = out.Queries[:keep], true
+		b, err = json.Marshal(out)
+	}
 	if err != nil {
 		return `{"error":"stats marshal failed"}`
 	}

@@ -29,7 +29,7 @@ func (s *Service) startHTTP(addr string) error {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintln(w, s.statsJSON())
+			fmt.Fprintln(w, s.statsJSON(0))
 			return
 		}
 		s.refreshCatalogGauges()

@@ -6,6 +6,7 @@ package server
 // oracle). Crash/fault drills live in fault_test.go.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
 	"forwarddecay/internal/core"
+	"forwarddecay/internal/faultinject"
 	"forwarddecay/netgen"
 )
 
@@ -238,7 +240,6 @@ type statsPayload struct {
 	Gauges   map[string]float64 `json:"gauges"`
 	Queries  []struct {
 		ID   uint32 `json:"id"`
-		Text string `json:"text"`
 		Base uint64 `json:"base"`
 		End  uint64 `json:"end"`
 	} `json:"queries"`
@@ -255,6 +256,13 @@ func fetchStats(t *testing.T, cl *Client) statsPayload {
 		t.Fatalf("stats JSON: %v\n%s", err, raw)
 	}
 	return sp
+}
+
+// snapshot copies the ring contents, for tests that inspect retained rows.
+func (rl *resultLog) snapshot() (base uint64, rows []gsql.Tuple) {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	return rl.base, append([]gsql.Tuple(nil), rl.rows...)
 }
 
 // --- control wire codec ---
@@ -582,20 +590,60 @@ func TestWALRotation(t *testing.T) {
 
 // --- state file + journal ---
 
+// encodeStateV2 renders st in the version-2 layout, rows inline, as servers
+// before the results file wrote it; decodeState must keep reading it.
+func encodeStateV2(st *serverState) []byte {
+	b := append([]byte("FDSTATE"), stateVersionV2)
+	b = binary.LittleEndian.AppendUint64(b, st.walEpoch)
+	b = binary.LittleEndian.AppendUint64(b, st.walApplied)
+	b = binary.LittleEndian.AppendUint32(b, st.nextQueryID)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.queries)))
+	for _, q := range st.queries {
+		b = binary.LittleEndian.AppendUint32(b, q.id)
+		b = appendString(b, q.text)
+		b = binary.LittleEndian.AppendUint32(b, q.shards)
+		b = binary.LittleEndian.AppendUint64(b, q.startAt)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(q.ckpt)))
+		b = append(b, q.ckpt...)
+		b = binary.LittleEndian.AppendUint64(b, q.base)
+		b = binary.LittleEndian.AppendUint64(b, q.end)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(q.rows)))
+		for _, row := range q.rows {
+			b = appendRow(b, row)
+		}
+		if q.quarantined {
+			b = append(b, 1)
+			b = appendString(b, q.qreason)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.sessions)))
+	for id, applied := range st.sessions {
+		b = binary.LittleEndian.AppendUint64(b, id)
+		b = binary.LittleEndian.AppendUint64(b, applied)
+	}
+	return binary.LittleEndian.AppendUint64(b, core.HashBytes(b))
+}
+
 func TestStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := &serverState{
 		walEpoch:    3,
 		walApplied:  17,
 		nextQueryID: 9,
+		resultsGen:  2,
+		resultsLen:  4096,
 		queries: []queryState{{
 			id:     1,
 			text:   testQuery,
 			ckpt:   []byte{1, 2, 3, 4},
 			base:   4,
-			rows:   []gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}},
 			end:    4,
 			shards: 2,
+		}, {
+			id: 5, text: testQuery, base: 1, end: 0,
+			quarantined: true, qreason: gsql.QuarantineBreaker,
 		}},
 		sessions: map[uint64]uint64{7: 42, 9: 1},
 	}
@@ -608,6 +656,20 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("state round trip:\n want %+v\n got  %+v", st, got)
+	}
+
+	// A version-2 file carries the ring rows inline and names no results
+	// generation; it still decodes.
+	v2 := *st
+	v2.resultsGen, v2.resultsLen = 0, 0
+	v2.queries = append([]queryState(nil), st.queries...)
+	v2.queries[0].rows = []gsql.Tuple{{{T: gsql.TInt, I: 10}, {T: gsql.TFloat, F: 2.5}}}
+	got, err = decodeState(encodeStateV2(&v2))
+	if err != nil {
+		t.Fatalf("v2 decode: %v", err)
+	}
+	if !reflect.DeepEqual(&v2, got) {
+		t.Fatalf("v2 decode:\n want %+v\n got  %+v", &v2, got)
 	}
 
 	// A flipped byte anywhere must fail the checksum.
@@ -923,5 +985,93 @@ func TestShutdownRestartResume(t *testing.T) {
 	}
 	if err := svc2.Shutdown(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestStatsFitsControlFrame: with a 1000-query catalog the stats reply must
+// still fit one control frame (the connection used to drop past ~100
+// queries), list queries in id order, and say how many it left out.
+func TestStatsFitsControlFrame(t *testing.T) {
+	svc := startService(t, t.TempDir(), nil)
+	cl := dialControl(t, svc)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if _, err := cl.Attach(testQuery); err != nil {
+			t.Fatalf("attach %d: %v", i, err)
+		}
+	}
+	streamAll(t, dialIngest(t, svc, 1), genPackets(t, 500, 50, 3))
+	for _, limit := range []int{maxStatsText, 4096} {
+		raw := svc.statsJSON(limit)
+		if len(raw) > limit {
+			t.Fatalf("stats JSON is %d bytes, limit %d", len(raw), limit)
+		}
+	}
+	raw, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("stats over 1000 queries: %v", err)
+	}
+	var sp struct {
+		Total     int  `json:"queries_total"`
+		Truncated bool `json:"truncated"`
+		Queries   []struct {
+			ID uint32 `json:"id"`
+		} `json:"queries"`
+	}
+	if err := json.Unmarshal([]byte(raw), &sp); err != nil {
+		t.Fatalf("stats JSON: %v", err)
+	}
+	if sp.Total != n || len(sp.Queries) == 0 || (len(sp.Queries) < n) != sp.Truncated {
+		t.Fatalf("stats list %d of %d queries (truncated=%v)", len(sp.Queries), sp.Total, sp.Truncated)
+	}
+	for i, q := range sp.Queries {
+		if q.ID != uint32(i+1) {
+			t.Fatalf("stats entry %d is query %d, want %d", i, q.ID, i+1)
+		}
+	}
+	if _, err := cl.Stats(); err != nil {
+		t.Fatalf("connection unusable after the stats reply: %v", err)
+	}
+}
+
+// TestAttachAtStartup: an attach sent the moment the control socket exists
+// succeeds on the first try, even while the first incarnation is still
+// being built.
+func TestAttachAtStartup(t *testing.T) {
+	defer faultinject.Reset()
+	// Slow the first build (its WAL creation syncs the directory) so the
+	// attach lands mid-build.
+	faultinject.Set("durable.dirsync", faultinject.Fault{DelayAt: 1, Delay: 300 * time.Millisecond})
+	sock := filepath.Join(t.TempDir(), "ctl.sock")
+	started := make(chan *Service, 1)
+	go func() {
+		s, err := New(Config{
+			Dir:         t.TempDir(),
+			ControlAddr: "unix:" + sock,
+			IngestAddr:  "127.0.0.1:0",
+			Tokens:      []string{testToken},
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		started <- s
+	}()
+	for {
+		if _, err := os.Stat(sock); err == nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl, err := DialClient("unix:"+sock, testToken, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, attachErr := cl.Attach(testQuery)
+	if s := <-started; s != nil {
+		defer s.Shutdown()
+	}
+	if attachErr != nil {
+		t.Fatalf("attach at startup: %v", attachErr)
 	}
 }

@@ -201,8 +201,10 @@ type runtime struct {
 	// ACQUIRED in the ApplyLog hooks (LogFrame/LogHeartbeat) and RELEASED
 	// at the end of the subsequent sink call — safe because the ingest
 	// pump is the only goroutine driving either. Lock order: s.mu → rt.mu.
-	mu   sync.Mutex
-	wal  *ingestWAL
+	mu  sync.Mutex
+	wal *ingestWAL
+	// res persists ring rows at checkpoints; nil on degraded incarnations.
+	res  *resultsFile
 	runs map[uint32]*queryRun
 	// multi is the incarnation's shared execution runtime: every attached
 	// query is a member of this one MultiRun, so the apply path makes a
@@ -310,10 +312,13 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 
+	// Control connections queue in the listen backlog until the first build
+	// attempt is over, so an attach sent the moment the socket exists meets
+	// a serving catalog instead of a Restarting one.
 	first := make(chan struct{})
 	go s.supervise(first)
-	go s.acceptControl()
 	<-first
+	go s.acceptControl()
 	return s, nil
 }
 
@@ -379,10 +384,10 @@ func (s *Service) supervise(first chan struct{}) {
 		firstDone()
 
 		verdict := s.watch(rt)
-		s.rt.Store(nil)
 		if verdict == watchStop {
-			return
+			return // Shutdown drains and checkpoints rt
 		}
+		s.rt.Store(nil)
 		s.mode.Store(int32(ModeRestarting))
 		s.teardown(rt)
 		switch verdict {
@@ -472,6 +477,9 @@ func (s *Service) teardown(rt *runtime) {
 	// file is closed, any append it attempts fails instead of landing bytes
 	// the successor (which scans the file next) would never account for.
 	rt.wal.close()
+	if rt.res != nil {
+		rt.res.close()
+	}
 	if drained {
 		// The pump exited, so the runs are exclusively ours: Close them to
 		// release shard goroutines. Their partial-bucket flush lands on
@@ -511,16 +519,19 @@ func (s *Service) Shutdown() error {
 		rt := s.rt.Load()
 		s.rt.Store(nil)
 		if rt != nil {
-			// Drain in-flight frames, then take the final checkpoint.
+			// Drain in-flight frames, then take the final checkpoint. A
+			// drain that failed leaves a pump that may still hold rt.mu
+			// (parked on a full ring) or an apply that stopped halfway:
+			// skip the checkpoint, and the next start replays the WAL.
 			if err := rt.listener.Shutdown(s.cfg.DrainTimeout); err != nil {
 				s.shutErr = err
-			}
-			if !rt.degraded {
-				if err := s.checkpoint(rt); err != nil && s.shutErr == nil {
-					s.shutErr = err
-				}
+			} else if !rt.degraded {
+				s.shutErr = s.checkpoint(rt)
 			}
 			rt.wal.close()
+			if rt.res != nil {
+				rt.res.close()
+			}
 			rt.fenced.Store(true) // fence any pump that failed to drain
 		}
 		for _, rl := range *s.rings.Load() {
@@ -559,9 +570,13 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 		return nil, err
 	}
 	built := false
+	var res *resultsFile
 	defer func() {
 		if !built {
 			wal.close()
+			if res != nil {
+				res.close()
+			}
 		}
 	}()
 
@@ -669,6 +684,25 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 		return out, err
 	}
 
+	// Rings that did not survive in memory (cold start) are rebuilt from the
+	// results file; surviving rings only rewind, below.
+	restore := map[uint32]bool{}
+	for _, sp := range specs {
+		if sp.fromState && s.queries[sp.qs.id] == nil {
+			restore[sp.qs.id] = true
+		}
+	}
+	res, rows, err := openResults(s.cfg.Dir, st, restore)
+	if err != nil {
+		return nil, err
+	}
+	rt.res = res
+	for i := range specs {
+		if r, ok := rows[specs[i].qs.id]; ok {
+			specs[i].qs.rows = r
+		}
+	}
+
 	// Build the shared runtime and reconcile the service catalog with disk.
 	// One engine, one MultiRun: every query attaches to the same feed, and
 	// the fan-out below becomes a single shared pass per frame.
@@ -689,6 +723,9 @@ func (s *Service) buildRuntime(degraded bool) (*runtime, error) {
 		if q == nil {
 			q = &Query{ID: sp.qs.id, Text: sp.qs.text, Shards: sp.qs.shards, log: s.newRing()}
 			if sp.fromState {
+				if uint64(len(sp.qs.rows)) != sp.qs.end+1-sp.qs.base {
+					return nil, fmt.Errorf("server: query %d: %d restored rows for the window [%d, %d]", q.ID, len(sp.qs.rows), sp.qs.base, sp.qs.end)
+				}
 				q.log.restore(sp.qs.base, sp.qs.rows)
 			}
 			s.queries[q.ID] = q
@@ -953,9 +990,11 @@ func (s *Service) finishBuild(rt *runtime, sessions map[uint64]uint64) (*runtime
 }
 
 // checkpoint drains nothing — it runs between frames on the pump goroutine
-// (or at shutdown after the drain) and snapshots runs, rings, sessions and
-// the WAL watermark into one durable state file, then starts a fresh WAL
-// epoch and resets the catalog journal.
+// (or at shutdown after the drain). It appends the rows emitted since the
+// last checkpoint to the results file and fsyncs it, syncs the WAL, then
+// writes runs, ring windows, sessions, the WAL watermark and the results
+// commit point into one durable state file, then starts a fresh WAL epoch
+// and resets the catalog journal.
 func (s *Service) checkpoint(rt *runtime) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -975,48 +1014,42 @@ func (s *Service) checkpoint(rt *runtime) error {
 		nextQueryID: s.nextID,
 		sessions:    rt.listener.Sessions(),
 	}
+	batch := rt.res.newBatch()
 	for id, q := range s.queries {
+		qs := queryState{id: id, text: q.Text, shards: q.Shards}
 		if qi := q.quar.Load(); qi != nil {
 			// Fenced (live-quarantined or rebuilt dormant): persist the
 			// retained partials and the quarantine trailer so the next
 			// incarnation parks it dormant too.
-			base, rows := q.log.snapshot()
-			st.queries = append(st.queries, queryState{
-				id:          id,
-				text:        q.Text,
-				shards:      q.Shards,
-				ckpt:        qi.retained,
-				base:        base,
-				rows:        rows,
-				end:         base + uint64(len(rows)) - 1,
-				quarantined: true,
-				qreason:     qi.reason,
-			})
-			continue
+			qs.ckpt, qs.quarantined, qs.qreason = qi.retained, true, qi.reason
+		} else {
+			run := rt.runs[id]
+			if run == nil {
+				return fmt.Errorf("server: checkpointing query %d: no live run", id)
+			}
+			b, err := run.ckpt()
+			if err != nil {
+				return fmt.Errorf("server: checkpointing query %d: %w", id, err)
+			}
+			qs.ckpt = b
 		}
-		run := rt.runs[id]
-		if run == nil {
-			return fmt.Errorf("server: checkpointing query %d: no live run", id)
-		}
-		b, err := run.ckpt()
-		if err != nil {
-			return fmt.Errorf("server: checkpointing query %d: %w", id, err)
-		}
-		base, rows := q.log.snapshot()
-		st.queries = append(st.queries, queryState{
-			id:     id,
-			text:   q.Text,
-			shards: q.Shards,
-			ckpt:   b,
-			base:   base,
-			rows:   rows,
-			end:    base + uint64(len(rows)) - 1,
-		})
+		qs.base, qs.end = batch.add(id, q.log)
+		st.queries = append(st.queries, qs)
 	}
+	gen, size, err := batch.write()
+	if err != nil {
+		return err
+	}
+	st.resultsGen, st.resultsLen = gen, uint64(size)
 	if err := rt.wal.sync(); err != nil {
+		batch.abort(false, err)
 		return err
 	}
 	if err := writeState(s.cfg.Dir, st); err != nil {
+		batch.abort(true, err)
+		return err
+	}
+	if err := batch.commit(); err != nil {
 		return err
 	}
 	if err := rt.wal.rotate(); err != nil {

@@ -5,10 +5,13 @@ package server
 // The state file is the service's restart anchor: for every attached query
 // it holds the query text, the engine checkpoint (the paper's decayed
 // partials, exact because forward-decay weights are fixed at arrival), and
-// the result ring snapshot with its absolute cursors; plus the ingest
-// session table and the WAL watermark (epoch, applied). Restart = load
-// state + replay WAL past the watermark. The whole file is wrapped in a
-// core.HashBytes trailer and written with durable.WriteFileAtomic.
+// the result ring's absolute cursor window [base, end]; plus the ingest
+// session table, the WAL watermark (epoch, applied), and the results-file
+// generation and committed length that hold the rows of those windows
+// (results.go). Restart = load state + rebuild rings from the results file
+// + replay WAL past the watermark. The whole file is wrapped in a
+// core.HashBytes trailer and written with durable.WriteFileAtomic; its size
+// does not depend on how many rows the rings retain.
 //
 // The catalog journal covers the gap BETWEEN checkpoints: attaching or
 // detaching a query must survive a crash even if no checkpoint follows, so
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"forwarddecay/gsql"
 	"forwarddecay/ingest"
@@ -32,11 +36,16 @@ import (
 )
 
 // stateMagic's last byte is the format version. Version 2 added the
-// per-query quarantine trailer (flag + reason); version-1 files are still
-// accepted and decode with every query live.
-var stateMagic = [8]byte{'F', 'D', 'S', 'T', 'A', 'T', 'E', 2}
+// per-query quarantine trailer (flag + reason). Version 3 moved the ring rows
+// out to the results file and names its generation and committed length
+// instead. Version-1 and -2 files are still accepted: their rows decode
+// inline, and version-1 queries decode live.
+var stateMagic = [8]byte{'F', 'D', 'S', 'T', 'A', 'T', 'E', 3}
 
-const stateVersionV1 = 1
+const (
+	stateVersionV1 = 1
+	stateVersionV2 = 2
+)
 
 const (
 	stateFile   = "server.state"
@@ -50,12 +59,14 @@ const (
 
 // queryState is one query's persisted slice of the state file.
 type queryState struct {
-	id      uint32
-	text    string
-	ckpt    []byte // engine checkpoint
-	base    uint64 // result ring snapshot
+	id   uint32
+	text string
+	ckpt []byte // engine checkpoint
+	base uint64 // oldest retained ring cursor
+	end  uint64 // highest assigned cursor at checkpoint time
+	// rows is the ring window [base, end]: inline in v1/v2 files, rebuilt
+	// from the results file for v3.
 	rows    []gsql.Tuple
-	end     uint64 // highest assigned cursor at checkpoint time
 	shards  uint32 // 0 = serial run
 	startAt uint64 // replay start within the checkpoint's WAL epoch
 	// Quarantine trailer (state v2): a fenced query is persisted dormant —
@@ -70,8 +81,12 @@ type serverState struct {
 	walEpoch    uint64
 	walApplied  uint64
 	nextQueryID uint32
-	queries     []queryState
-	sessions    map[uint64]uint64
+	// resultsGen/resultsLen name the results-file generation holding the
+	// ring rows and its committed length (0/0 for v1/v2 files).
+	resultsGen uint64
+	resultsLen uint64
+	queries    []queryState
+	sessions   map[uint64]uint64
 }
 
 // encodeState serializes the state with a checksum trailer.
@@ -80,6 +95,8 @@ func encodeState(st *serverState) []byte {
 	b = binary.LittleEndian.AppendUint64(b, st.walEpoch)
 	b = binary.LittleEndian.AppendUint64(b, st.walApplied)
 	b = binary.LittleEndian.AppendUint32(b, st.nextQueryID)
+	b = binary.LittleEndian.AppendUint64(b, st.resultsGen)
+	b = binary.LittleEndian.AppendUint64(b, st.resultsLen)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.queries)))
 	for i := range st.queries {
 		q := &st.queries[i]
@@ -91,10 +108,6 @@ func encodeState(st *serverState) []byte {
 		b = append(b, q.ckpt...)
 		b = binary.LittleEndian.AppendUint64(b, q.base)
 		b = binary.LittleEndian.AppendUint64(b, q.end)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(q.rows)))
-		for _, row := range q.rows {
-			b = appendRow(b, row)
-		}
 		if q.quarantined {
 			b = append(b, 1)
 			b = appendString(b, q.qreason)
@@ -102,10 +115,16 @@ func encodeState(st *serverState) []byte {
 			b = append(b, 0)
 		}
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.sessions)))
-	for id, applied := range st.sessions {
+	// Sessions in id order: the same state always encodes to the same bytes.
+	ids := make([]uint64, 0, len(st.sessions))
+	for id := range st.sessions {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
+	for _, id := range ids {
 		b = binary.LittleEndian.AppendUint64(b, id)
-		b = binary.LittleEndian.AppendUint64(b, applied)
+		b = binary.LittleEndian.AppendUint64(b, st.sessions[id])
 	}
 	return binary.LittleEndian.AppendUint64(b, core.HashBytes(b))
 }
@@ -116,7 +135,7 @@ func decodeState(b []byte) (*serverState, error) {
 		return nil, errors.New("server: state file too short")
 	}
 	version := int(b[7])
-	if [7]byte(b[:7]) != [7]byte(stateMagic[:7]) || (version != stateVersionV1 && version != int(stateMagic[7])) {
+	if [7]byte(b[:7]) != [7]byte(stateMagic[:7]) || version < stateVersionV1 || version > int(stateMagic[7]) {
 		return nil, errors.New("server: state file: bad magic")
 	}
 	payload, trailer := b[:len(b)-8], binary.LittleEndian.Uint64(b[len(b)-8:])
@@ -128,6 +147,10 @@ func decodeState(b []byte) (*serverState, error) {
 	st.walEpoch = d.u64()
 	st.walApplied = d.u64()
 	st.nextQueryID = d.u32()
+	if version > stateVersionV2 {
+		st.resultsGen = d.u64()
+		st.resultsLen = d.u64()
+	}
 	nq := d.u32()
 	if d.err == "" && int64(nq) > int64(len(payload)) {
 		return nil, errors.New("server: state file: forged query count")
@@ -144,24 +167,35 @@ func decodeState(b []byte) (*serverState, error) {
 		}
 		q.base = d.u64()
 		q.end = d.u64()
-		nr := d.u32()
-		if d.err == "" && int64(nr) > int64(len(payload)) {
-			return nil, errors.New("server: state file: forged row count")
+		if version <= stateVersionV2 {
+			nr := d.u32()
+			if d.err == "" && int64(nr) > int64(len(payload)) {
+				return nil, errors.New("server: state file: forged row count")
+			}
+			for r := uint32(0); r < nr && d.err == ""; r++ {
+				q.rows = append(q.rows, d.row())
+			}
 		}
-		for r := uint32(0); r < nr && d.err == ""; r++ {
-			q.rows = append(q.rows, d.row())
-		}
-		if version >= 2 {
-			if d.u8() != 0 {
+		if version >= stateVersionV2 {
+			switch d.u8() {
+			case 0:
+			case 1:
 				q.quarantined = true
 				q.qreason = d.str()
+			default:
+				d.fail("quarantine flag is not 0 or 1")
 			}
 		}
 		st.queries = append(st.queries, q)
 	}
 	ns := d.u32()
+	var prev uint64
 	for i := uint32(0); i < ns && d.err == ""; i++ {
 		id := d.u64()
+		if version > stateVersionV2 && i > 0 && id <= prev {
+			d.fail("session ids not ascending")
+		}
+		prev = id
 		st.sessions[id] = d.u64()
 	}
 	if d.err != "" {

@@ -37,10 +37,10 @@ import (
 type fetchStatus uint8
 
 const (
-	fetchRows fetchStatus = iota // rows copied; deliver then advance
-	fetchGap                     // rows were shed behind this subscriber
-	fetchRemoved                 // force-removed by policy or detach
-	fetchClosed                  // service shutting down
+	fetchRows    fetchStatus = iota // rows copied; deliver then advance
+	fetchGap                        // rows were shed behind this subscriber
+	fetchRemoved                    // force-removed by policy or detach
+	fetchClosed                     // service shutting down
 )
 
 // subscriber is one subscription's cursor state, shared between its
@@ -337,7 +337,7 @@ func (rl *resultLog) truncateTo(k uint64) {
 	rl.broadcast()
 }
 
-// restore replaces the ring contents from a checkpoint snapshot (cold
+// restore replaces the ring contents with a checkpoint's window (cold
 // start).
 func (rl *resultLog) restore(base uint64, rows []gsql.Tuple) {
 	rl.mu.Lock()
@@ -347,11 +347,22 @@ func (rl *resultLog) restore(base uint64, rows []gsql.Tuple) {
 	rl.mu.Unlock()
 }
 
-// snapshot returns the ring contents for checkpointing.
-func (rl *resultLog) snapshot() (base uint64, rows []gsql.Tuple) {
+// window returns the ring's bounds without copying it: base is the oldest
+// retained cursor, end the highest assigned one (base-1 when empty).
+func (rl *resultLog) window() (base, end uint64) {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	return rl.base, append([]gsql.Tuple(nil), rl.rows...)
+	return rl.base, rl.endLocked()
+}
+
+// visit calls fn, under the ring lock, with the retained rows whose cursors
+// lie in [from, to]; the caller takes both bounds from window and holds the
+// locks that keep the ring from moving in between (checkpoint: s.mu and
+// rt.mu). fn must not retain the slice.
+func (rl *resultLog) visit(from, to uint64, fn func(rows []gsql.Tuple)) {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	fn(rl.rows[from-rl.base : to+1-rl.base])
 }
 
 // close releases every waiter for service shutdown.
